@@ -7,7 +7,6 @@ import (
 
 	"advhunter/internal/core"
 	"advhunter/internal/gmm"
-	"advhunter/internal/metrics"
 	"advhunter/internal/persist"
 	"advhunter/internal/rng"
 	"advhunter/internal/uarch/hpc"
@@ -138,104 +137,65 @@ func TestLoadRejectsUnknownBackendArtifact(t *testing.T) {
 	}
 }
 
-// TestLegacyDetectorStillLoads writes a pre-registry schema-1 artifact
-// (the exact layout core.SaveDetector used) and proves the shim lifts it
-// into a working gmm-backend detector with the same scores a fresh schema-2
-// fit produces on the same template and seed.
-func TestLegacyDetectorStillLoads(t *testing.T) {
-	tpl := synthTemplate(3, 40, 113)
-	cfg := DefaultConfig()
+// schema1DTO and schema1Cat mirror the retired schema-1 detector layout:
+// per-event GMMs with per-category models and thresholds. Nothing reads it
+// any more, so an artifact in this layout must be an ordinary TryLoad miss.
+type schema1DTO struct {
+	Events []hpc.Event
+	Cats   []schema1Cat
+}
 
-	// Hand-build the legacy DTO the way the old per-event GMM trainer did:
-	// per (category, event) mixture with the same derived seed, threshold
-	// mean + 3σ over the template's own scores.
-	dto := legacyDTO{Events: append([]hpc.Event{}, synthEvents...)}
-	for c := 0; c < tpl.Classes; c++ {
-		cat := legacyCatDTO{Modelled: true}
-		for idx := range synthEvents {
-			col := tpl.Column(c, idx)
-			sub := cfg.GMM
-			sub.Seed = cfg.GMM.Seed ^ (uint64(c)<<32 | uint64(idx))
-			model, err := gmm.FitBest(col, cfg.MaxK, sub)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scores := make([]float64, len(col))
-			for i, x := range col {
-				scores[i] = model.NegLogLikelihood(x)
-			}
-			mean, std := metrics.MeanStd(scores)
-			cat.Models = append(cat.Models, *model)
-			cat.Thresholds = append(cat.Thresholds, mean+cfg.SigmaFactor*std)
-		}
-		dto.Cats = append(dto.Cats, cat)
-	}
-	p := filepath.Join(t.TempDir(), "legacy.gob")
-	if err := persist.Save(p, legacySchema, &dto); err != nil {
-		t.Fatal(err)
-	}
+type schema1Cat struct {
+	Modelled   bool
+	Models     []gmm.Model
+	Thresholds []float64
+}
 
-	legacy, ok := TryLoad(p)
-	if !ok {
-		t.Fatal("legacy schema-1 artifact did not load")
-	}
-	if legacy.Kind() != "gmm" {
-		t.Fatalf("legacy artifact lifted to kind %q", legacy.Kind())
-	}
-	fresh := mustFit(t, "gmm", tpl, cfg)
-	r := rng.New(127)
-	for i := 0; i < 30; i++ {
-		q := synthMeasurement(r, i%3, 1000+300*float64(i%3))
-		a, b := legacy.Detect(q), fresh.Detect(q)
-		if a.Fused != b.Fused {
-			t.Fatalf("legacy and fresh detectors disagree on query %d", i)
-		}
-		for si := range a.Scores {
-			if a.Scores[si] != b.Scores[si] {
-				t.Fatalf("query %d score %d differs: legacy %g, fresh %g", i, si, a.Scores[si], b.Scores[si])
-			}
-		}
-		if legacy.Detect(q).FlaggedBy(hpc.CacheMisses) != b.FlaggedBy(hpc.CacheMisses) {
-			t.Fatalf("legacy FlaggedBy diverges on query %d", i)
-		}
-	}
-	// A far-out query must flag through the shimmed detector.
-	if !legacy.Detect(synthMeasurement(r, 0, 1e6)).FlaggedBy(hpc.CacheMisses) {
-		t.Fatal("legacy detector missed an extreme anomaly")
+func schema1Artifact() *schema1DTO {
+	return &schema1DTO{
+		Events: []hpc.Event{hpc.CacheMisses},
+		Cats: []schema1Cat{{
+			Modelled:   true,
+			Models:     []gmm.Model{{Weights: []float64{1}, Means: []float64{0}, Vars: []float64{1}}},
+			Thresholds: []float64{1},
+		}},
 	}
 }
 
+// TestLegacyArtifactValidation: schema 1 has no reader, so every schema-1
+// envelope — well-formed or malformed — is an ordinary TryLoad miss, never
+// an error surface and never a panic.
 func TestLegacyArtifactValidation(t *testing.T) {
 	dir := t.TempDir()
-	save := func(name string, dto legacyDTO) string {
-		p := filepath.Join(dir, name+".gob")
-		if err := persist.Save(p, legacySchema, &dto); err != nil {
-			t.Fatal(err)
-		}
-		return p
+	cases := map[string]*schema1DTO{
+		"well-formed": schema1Artifact(),
+		"empty":       {},
+		"bad-event": {
+			Events: []hpc.Event{hpc.Event(255)},
+			Cats:   []schema1Cat{{Modelled: false}},
+		},
+		"lopsided": {
+			Events: []hpc.Event{hpc.CacheMisses},
+			Cats:   []schema1Cat{{Modelled: true, Models: nil, Thresholds: []float64{1, 2}}},
+		},
+		"unmodelled": {
+			Events: []hpc.Event{hpc.CacheMisses},
+			Cats:   []schema1Cat{{Modelled: false}},
+		},
 	}
-	empty := save("empty", legacyDTO{})
-	badEvent := save("bad-event", legacyDTO{
-		Events: []hpc.Event{hpc.Event(255)},
-		Cats:   []legacyCatDTO{{Modelled: false}},
-	})
-	lopsided := save("lopsided", legacyDTO{
-		Events: []hpc.Event{hpc.CacheMisses},
-		Cats:   []legacyCatDTO{{Modelled: true, Models: nil, Thresholds: []float64{1, 2}}},
-	})
-	unmodelled := save("unmodelled", legacyDTO{
-		Events: []hpc.Event{hpc.CacheMisses},
-		Cats:   []legacyCatDTO{{Modelled: false}},
-	})
-	for _, p := range []string{empty, badEvent, lopsided, unmodelled} {
-		if _, ok := TryLoad(p); ok {
-			t.Fatalf("invalid legacy artifact %s loaded", filepath.Base(p))
+	for name, dto := range cases {
+		p := filepath.Join(dir, name+".gob")
+		if err := persist.Save(p, 1, dto); err != nil {
+			t.Fatalf("%s: setup: %v", name, err)
+		}
+		if d, ok := TryLoad(p); ok || d != nil {
+			t.Fatalf("%s: loaded a detector from a schema-1 artifact", name)
 		}
 	}
 }
 
 // FuzzTryLoad is the crash gate on the artifact loader: no byte sequence —
-// valid envelope, legacy envelope, mutation, or noise — may panic it.
+// valid envelope, stale-schema envelope, mutation, or noise — may panic it.
 // Unknown backends and corrupt payloads are misses, not errors.
 func FuzzTryLoad(f *testing.F) {
 	tpl := synthTemplate(2, 20, 131)
@@ -255,18 +215,15 @@ func FuzzTryLoad(f *testing.F) {
 		}
 		f.Add(raw)
 	}
-	legacy := filepath.Join(dir, "legacy.gob")
-	if err := persist.Save(legacy, legacySchema, &legacyDTO{
-		Events: []hpc.Event{hpc.CacheMisses},
-		Cats:   []legacyCatDTO{{Modelled: true, Models: make([]gmm.Model, 1), Thresholds: []float64{1}}},
-	}); err != nil {
+	stale := filepath.Join(dir, "schema1.gob")
+	if err := persist.Save(stale, 1, schema1Artifact()); err != nil {
 		f.Fatal(err)
 	}
-	rawLegacy, err := os.ReadFile(legacy)
+	rawStale, err := os.ReadFile(stale)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(rawLegacy)
+	f.Add(rawStale)
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 

@@ -85,8 +85,7 @@ func getBenchFixture(b *testing.B) *benchFixture {
 // handler via httptest recorders, so decode, queueing, dispatch, measurement,
 // scoring and encoding are all on the clock; only the TCP socket is not.
 // Per-iteration latencies are reported as p50-ns and p99-ns custom metrics
-// alongside the usual ns/op (scripts/bench.sh aggregates them into
-// BENCH_6.json).
+// alongside the usual ns/op.
 func BenchmarkServeTierResNet18(b *testing.B) {
 	f := getBenchFixture(b)
 	base := Config{Workers: 1, MaxBatch: 1, QueueSize: 16}

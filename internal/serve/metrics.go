@@ -32,10 +32,6 @@ type metrics struct {
 	ok         *obs.Counter
 	reqSeconds *obs.Histogram
 	batchSizes *obs.Histogram
-	// fusedBatches counts micro-batches decided through the fused batch path
-	// (processFused); per-job fan-out batches are the complement against
-	// advhunter_batch_size_count.
-	fusedBatches *obs.Counter
 
 	// Detection layer, labelled by the served backend kind.
 	scans   *obs.Counter
@@ -78,8 +74,6 @@ func newMetrics(backend string, channels []string) *metrics {
 		"End-to-end request latency.", latencyBuckets).With()
 	m.batchSizes = reg.Histogram("advhunter_batch_size",
 		"Micro-batch sizes dispatched to the worker pool.", batchBuckets).With()
-	m.fusedBatches = reg.Counter("advhunter_fused_batches_total",
-		"Micro-batches decided through the fused batched measure-and-score path.").With()
 
 	m.scans = reg.Counter("advhunter_scans_total", "Detection decisions made.", "backend").With(backend)
 	m.flagged = reg.Counter("advhunter_flagged_total", "Decisions answered adversarial.", "backend").With(backend)

@@ -102,13 +102,6 @@ type Config struct {
 	// decides everything). Detectors that do not implement
 	// detect.Uncertainty escalate every query instead.
 	EscalationMargin float64
-	// DisableBatchFuse reverts the micro-batcher to per-job decisions: every
-	// drained batch fans out one Tiering.Decide per job instead of flowing as
-	// one fused InferBatch→ScoreBatch unit. Responses are byte-identical either
-	// way — the batched kernels are bit-identical to the per-sample ones and
-	// each job's noise stream is keyed by its index — so the knob exists for
-	// apples-to-apples benchmarking of the fast path and as an escape hatch.
-	DisableBatchFuse bool
 	// Logger receives the server's structured records (per-request debug
 	// lines, span timings). nil selects slog.Default(). Logging and tracing
 	// are observe-only: enabling them never changes a verdict or a response
@@ -517,61 +510,9 @@ func (s *Server) process(batch []*job) {
 		return
 	}
 	s.stats.batchSizes.Observe(float64(len(live)))
-	if len(live) >= 2 && !s.cfg.DisableBatchFuse {
-		if bt, ok := s.tiering.(BatchTiering); ok {
-			s.processFused(bt, live)
-			return
-		}
-	}
 	parallel.MapWorkersHooked(s.cfg.Workers, live, s.poolHooks, func(worker, _ int, j *job) struct{} {
 		v, tier := s.tiering.Decide(j.ctx, worker, j.idx, j.x)
 		j.out <- result{v: v, tier: tier}
-		return struct{}{}
-	})
-}
-
-// processFused is the batched fast path of process: the live jobs are split
-// into one contiguous chunk per pool worker, and each chunk flows through the
-// tiering as a single fused measure→score unit (batched forward pass over the
-// chunk's cache misses, channel-major detector sweep). Verdicts are pure
-// functions of (idx, x), so chunking — like worker assignment — never changes
-// a response byte; each job still gets its own spans and counters, plus a
-// "batch" span recording its chunk's fused decision time. A chunk whose
-// tiering cannot fuse falls back to per-job Decide within the chunk.
-func (s *Server) processFused(bt BatchTiering, live []*job) {
-	s.stats.fusedBatches.Inc()
-	n := len(live)
-	nchunks := s.cfg.Workers
-	if nchunks > n {
-		nchunks = n
-	}
-	type span struct{ lo, hi int }
-	chunks := make([]span, nchunks)
-	for c := range chunks {
-		chunks[c] = span{lo: c * n / nchunks, hi: (c + 1) * n / nchunks}
-	}
-	parallel.MapWorkersHooked(s.cfg.Workers, chunks, s.poolHooks, func(worker, _ int, c span) struct{} {
-		jobs := live[c.lo:c.hi]
-		m := len(jobs)
-		ctxs := make([]context.Context, m)
-		idxs := make([]uint64, m)
-		xs := make([]*tensor.Tensor, m)
-		vs := make([]detect.Verdict, m)
-		tiers := make([]string, m)
-		spans := make([]*obs.Span, m)
-		for i, j := range jobs {
-			ctxs[i], idxs[i], xs[i] = j.ctx, j.idx, j.x
-			_, spans[i] = obs.StartSpan(j.ctx, "batch")
-		}
-		if !bt.DecideBatch(ctxs, worker, idxs, xs, vs, tiers) {
-			for i, j := range jobs {
-				vs[i], tiers[i] = s.tiering.Decide(j.ctx, worker, j.idx, j.x)
-			}
-		}
-		for i, j := range jobs {
-			spans[i].End()
-			j.out <- result{v: vs[i], tier: tiers[i]}
-		}
 		return struct{}{}
 	})
 }

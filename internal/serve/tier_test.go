@@ -38,6 +38,56 @@ func replay(t *testing.T, url string, stream []Request) map[uint64]string {
 	return out
 }
 
+// replayConcurrent posts the stream from clients concurrent goroutines and
+// returns the raw body per index; any non-200 fails the test.
+func replayConcurrent(t *testing.T, url string, stream []Request, clients int) map[uint64]string {
+	t.Helper()
+	var (
+		mu   sync.Mutex
+		out  = make(map[uint64]string, len(stream))
+		wg   sync.WaitGroup
+		work = make(chan Request)
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for req := range work {
+				resp, body := post(t, url, req)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("index %d: status %d: %s", *req.Index, resp.StatusCode, body)
+					continue
+				}
+				mu.Lock()
+				out[*req.Index] = string(body)
+				mu.Unlock()
+			}
+		}()
+	}
+	for _, req := range stream {
+		work <- req
+	}
+	close(work)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return out
+}
+
+// requireSameResponses fails unless got holds exactly want's bodies.
+func requireSameResponses(t *testing.T, label string, got, want map[uint64]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d responses, serial %d", label, len(got), len(want))
+	}
+	for idx, w := range want {
+		if g := got[idx]; g != w {
+			t.Fatalf("%s: index %d differs from serial:\nserial: %s\ngot:    %s", label, idx, w, g)
+		}
+	}
+}
+
 // TestServeTierTwin: under the twin tier every response is decided — and
 // labelled — by the twin, predictions are bit-identical to the exact path
 // (the forward numerics are shared), and /metrics exports the tier series.
@@ -207,57 +257,22 @@ func TestServeTierInvalidConfig(t *testing.T) {
 // TestServeTierAutoConcurrencyDeterminism is the tiered form of the serving
 // determinism contract: the twin verdict, the escalation decision, and the
 // exact verdict are each pure functions of (model, input, seed, index), so
-// auto-tier responses must be byte-identical between a serial replay and 8
-// concurrent clients over a multi-replica pool. Runs under -race via
-// scripts/verify.sh.
+// twin- and auto-tier responses must be byte-identical between a serial
+// replay and 8 concurrent clients over a multi-replica pool with multi-job
+// micro-batches. Runs under -race via scripts/verify.sh.
 func TestServeTierAutoConcurrencyDeterminism(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
 
-	_, tsSerial := newServer(t, f, f.tierConfig(TierAuto, Config{Workers: 1, MaxBatch: 1}))
-	serial := replay(t, tsSerial.URL, stream)
+	for _, tier := range []string{TierTwin, TierAuto} {
+		_, tsSerial := newServer(t, f, f.tierConfig(tier, Config{Workers: 1, MaxBatch: 1}))
+		serial := replay(t, tsSerial.URL, stream)
 
-	_, tsConc := newServer(t, f, f.tierConfig(TierAuto, Config{
-		Workers: 4, MaxBatch: 8, QueueSize: len(stream) + 8,
-	}))
-	var (
-		mu         sync.Mutex
-		concurrent = make(map[uint64]string, len(stream))
-		wg         sync.WaitGroup
-		work       = make(chan Request)
-	)
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for req := range work {
-				resp, body := post(t, tsConc.URL, req)
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("concurrent replay: status %d: %s", resp.StatusCode, body)
-					continue
-				}
-				mu.Lock()
-				concurrent[*req.Index] = string(body)
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, req := range stream {
-		work <- req
-	}
-	close(work)
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-
-	if len(concurrent) != len(serial) {
-		t.Fatalf("concurrent replay produced %d responses, serial %d", len(concurrent), len(serial))
-	}
-	for idx, want := range serial {
-		if got := concurrent[idx]; got != want {
-			t.Fatalf("index %d diverged under concurrency:\nserial:     %s\nconcurrent: %s", idx, want, got)
-		}
+		_, tsConc := newServer(t, f, f.tierConfig(tier, Config{
+			Workers: 4, MaxBatch: 8, QueueSize: len(stream) + 8,
+		}))
+		concurrent := replayConcurrent(t, tsConc.URL, stream, 8)
+		requireSameResponses(t, tier+" concurrent replay", concurrent, serial)
 	}
 }
 

@@ -64,28 +64,31 @@ type ServerStats struct {
 	TruthHitRate    float64 `json:"truth_hit_rate"`
 	TwinTruthHits   float64 `json:"twin_truth_hits"`
 	TwinTruthMisses float64 `json:"twin_truth_misses"`
-	Screened        float64 `json:"screened"`
-	Escalations     float64 `json:"escalations"`
-	EscalationRate  float64 `json:"escalation_rate"` // escalations / screened
-	Rejected429     float64 `json:"rejected_429"`
-	Timeouts504     float64 `json:"timeouts_504"`
-	QueueCapacity   float64 `json:"queue_capacity"`
-	QueueDepthPeak  float64 `json:"queue_depth_peak"`
-	QueueDepthMean  float64 `json:"queue_depth_mean"`
-	InflightPeak    float64 `json:"inflight_peak"`
-	InflightMean    float64 `json:"inflight_mean"`
-	GaugeSamples    int     `json:"gauge_samples"`
-	AlertsFired     float64 `json:"alerts_fired"`  // alert transitions to firing during the run
-	AlertsActive    float64 `json:"alerts_active"` // rules still firing when the run ended
+	// TwinTruthHitRate is the twin-tier cache's hit rate, the twin and auto
+	// tiers' counterpart of TruthHitRate.
+	TwinTruthHitRate float64 `json:"twin_truth_hit_rate"`
+	Screened         float64 `json:"screened"`
+	Escalations      float64 `json:"escalations"`
+	EscalationRate   float64 `json:"escalation_rate"` // escalations / screened
+	Rejected429      float64 `json:"rejected_429"`
+	Timeouts504      float64 `json:"timeouts_504"`
+	QueueCapacity    float64 `json:"queue_capacity"`
+	QueueDepthPeak   float64 `json:"queue_depth_peak"`
+	QueueDepthMean   float64 `json:"queue_depth_mean"`
+	InflightPeak     float64 `json:"inflight_peak"`
+	InflightMean     float64 `json:"inflight_mean"`
+	GaugeSamples     int     `json:"gauge_samples"`
+	AlertsFired      float64 `json:"alerts_fired"`  // alert transitions to firing during the run
+	AlertsActive     float64 `json:"alerts_active"` // rules still firing when the run ended
 }
 
 // Report is the distilled result of one run: client-side rates and latency
 // quantiles per traffic shape, per-cohort breakdowns, and the server-side
-// counter deltas. It is the unit scripts/bench.sh records into BENCH_7.json.
+// counter deltas.
 type Report struct {
 	Name          string                  `json:"name"`
 	Shape         string                  `json:"shape"`
-	Tier          string                  `json:"tier"` // dominant verdict tier ("" when responses carry none — exact-only serving)
+	Tier          string                  `json:"tier"` // verdict tier: "auto" when 200s carry both twin and exact, else the one tier seen ("" for exact-only serving)
 	Seed          uint64                  `json:"seed"`
 	Requests      int                     `json:"requests"`
 	Completed     int                     `json:"completed"` // 200s
@@ -164,9 +167,15 @@ func buildReport(tr *Trace, outcomes []Outcome, before, after Snapshot, samples 
 		}
 		cs.Latency = quantilesOf(lat)
 	}
-	for t, c := range tiers {
-		if c > tiers[rep.Tier] || rep.Tier == "" {
-			rep.Tier = t
+	// Only the auto tier answers with both labels: twin for screened
+	// verdicts, exact for escalations.
+	if tiers["twin"] > 0 && tiers["exact"] > 0 {
+		rep.Tier = "auto"
+	} else {
+		for t, c := range tiers {
+			if c > tiers[rep.Tier] || rep.Tier == "" {
+				rep.Tier = t
+			}
 		}
 	}
 
@@ -183,6 +192,9 @@ func buildReport(tr *Trace, outcomes []Outcome, before, after Snapshot, samples 
 	}
 	s.TwinTruthHits = d.Sum("advhunter_twin_truth_cache_hits_total")
 	s.TwinTruthMisses = d.Sum("advhunter_twin_truth_cache_misses_total")
+	if tot := s.TwinTruthHits + s.TwinTruthMisses; tot > 0 {
+		s.TwinTruthHitRate = s.TwinTruthHits / tot
+	}
 	s.Screened = d.Sum("advhunter_tier_screened_total")
 	s.Escalations = d.Sum("advhunter_tier_escalations_total")
 	if s.Screened > 0 {
@@ -227,6 +239,9 @@ func (r *Report) Render(w io.Writer) {
 	s := r.Server
 	fmt.Fprintf(w, "  server: truth-cache hit rate %.3f (%g/%g)  escalation rate %.3f (%g/%g)\n",
 		s.TruthHitRate, s.TruthHits, s.TruthHits+s.TruthMisses, s.EscalationRate, s.Escalations, s.Screened)
+	if tot := s.TwinTruthHits + s.TwinTruthMisses; tot > 0 {
+		fmt.Fprintf(w, "  server: twin truth-cache hit rate %.3f (%g/%g)\n", s.TwinTruthHitRate, s.TwinTruthHits, tot)
+	}
 	fmt.Fprintf(w, "  server: 429s %g  504s %g  queue depth peak %g / cap %g  inflight peak %g\n",
 		s.Rejected429, s.Timeouts504, s.QueueDepthPeak, s.QueueCapacity, s.InflightPeak)
 	if s.AlertsFired > 0 || s.AlertsActive > 0 {

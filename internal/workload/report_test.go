@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestBuildReportEmptyOutcomes: a run that completed nothing — a saturated
@@ -55,5 +58,58 @@ func TestSnapshotSum(t *testing.T) {
 	}
 	if got := s.SumMatch("advhunter_requests_total", "code", "404"); got != 0 {
 		t.Fatalf("SumMatch absent code = %g, want 0", got)
+	}
+}
+
+// TestBuildReportTierLabel: a run whose 200s carry both twin and exact
+// verdicts is an auto-tier run, whichever tier decided more of them; a run
+// with one tier keeps that tier's label.
+func TestBuildReportTierLabel(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tiers []string
+		want  string
+	}{
+		{"exact-only", []string{"", "", ""}, ""},
+		{"twin-only", []string{"twin", "twin"}, "twin"},
+		{"auto", []string{"twin", "twin", "twin", "exact"}, "auto"},
+		{"auto-mostly-exact", []string{"exact", "exact", "twin"}, "auto"},
+	} {
+		tr := &Trace{Name: tc.name, Arrival: ArrivalSpec{Kind: Poisson, Rate: 1}}
+		var outs []Outcome
+		for _, tier := range tc.tiers {
+			tr.Events = append(tr.Events, Event{Cohort: "clean"})
+			outs = append(outs, Outcome{Status: 200, Tier: tier})
+		}
+		rep := buildReport(tr, outs, Snapshot{}, Snapshot{}, &gaugeSamples{}, time.Second)
+		if rep.Tier != tc.want {
+			t.Errorf("%s: tier %q, want %q", tc.name, rep.Tier, tc.want)
+		}
+	}
+}
+
+// TestRenderTwinTruthCache: twin and auto runs fill the twin-tier cache, not
+// the exact one, so the report must carry and print the twin hit rate.
+func TestRenderTwinTruthCache(t *testing.T) {
+	tr := &Trace{Name: "twin", Arrival: ArrivalSpec{Kind: Poisson, Rate: 1}}
+	after := Snapshot{
+		"advhunter_twin_truth_cache_hits_total":   3,
+		"advhunter_twin_truth_cache_misses_total": 1,
+	}
+	rep := buildReport(tr, nil, Snapshot{}, after, &gaugeSamples{}, time.Second)
+	if got := rep.Server.TwinTruthHitRate; got != 0.75 {
+		t.Fatalf("twin hit rate %g, want 0.75", got)
+	}
+	var buf bytes.Buffer
+	rep.Render(&buf)
+	if want := "twin truth-cache hit rate 0.750 (3/4)"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("render lacks %q:\n%s", want, buf.String())
+	}
+
+	// An exact-only run never touched the twin cache: no twin line.
+	buf.Reset()
+	buildReport(tr, nil, Snapshot{}, Snapshot{}, &gaugeSamples{}, time.Second).Render(&buf)
+	if strings.Contains(buf.String(), "twin truth-cache") {
+		t.Fatalf("twin cache line on a run without twin traffic:\n%s", buf.String())
 	}
 }
